@@ -22,7 +22,10 @@ from repro.errors import ConfigurationError
 from repro.hw.cluster import Cluster
 from repro.hw.contention import ContentionModel
 
-__all__ = ["LegTimes", "BatchLegTimes", "StepNetwork", "RoutedMessage", "Router"]
+__all__ = [
+    "LegTimes", "BatchLegTimes", "StepNetwork", "NetworkSchedule",
+    "RoutedMessage", "Router",
+]
 
 #: Device-side extraction rate for the UO prefix scan: proxies scanned per
 #: second.  Scanning is bandwidth-bound over the proxy array; the constant
@@ -82,6 +85,19 @@ class StepNetwork(NamedTuple):
     messages_saved: int  # cross-host messages folded away by aggregation
     aggregates: int  # HostAggregates formed (0 unless hierarchical)
     saved_bytes: float  # scaled envelope bytes aggregation removed
+
+
+class NetworkSchedule(NamedTuple):
+    """Absolute network-leg completions for one priced batch (see
+    ``schedule_network``), with the same wire counters as
+    :class:`StepNetwork`."""
+
+    done: np.ndarray  # per-message network completion (ready for loop-backs)
+    direct: np.ndarray  # unqueued singletons: done == ready + inter
+    inter_host_messages: int
+    messages_saved: int
+    aggregates: int
+    saved_bytes: float
 
 
 @dataclass(frozen=True)
@@ -271,10 +287,10 @@ class Router:
         The step gets its own relative timeline.  Each message first
         clears its device's up leg (extraction + D2H, FIFO per device —
         jointly with a host serialization core when contended), then its
-        network leg runs: per message, or per :class:`HostAggregate` when
-        ``hierarchical`` (one wire message per (src host, dst host[,
-        key]); the aggregate departs when its last member's up leg
-        finishes).  With contention, network legs queue FIFO on the
+        network leg runs (:meth:`schedule_network`): per message, or per
+        :class:`HostAggregate` when ``hierarchical`` (one wire message per
+        (src host, dst host[, key]); the aggregate departs when its last
+        member's up leg finishes).  With contention, network legs queue FIFO on the
         sender host's NIC (cross-host) or staging path (host-routed
         same-host); without, they start as soon as ready — which makes
         the uncontended, non-hierarchical schedule reproduce
@@ -289,11 +305,7 @@ class Router:
             return StepNetwork(np.empty(0), 0, 0, 0, 0.0)
         c = self.cluster
         model = self.contention
-        host_of = np.asarray(c.host_of, dtype=np.int64)
-        hsrc = host_of[pr.src]
-        hdst = host_of[pr.dst]
-        loop = pr.src == pr.dst
-        cross = (hsrc != hdst) & ~loop
+        hsrc = np.asarray(c.host_of, dtype=np.int64)[pr.src]
         up_service = pr.extraction + pr.d2h
 
         # ---- up stage: when each message clears its device's D2H lane --- #
@@ -316,9 +328,45 @@ class Router:
                     )
                 up_done[i] = start + svc
 
-        # ---- network entities ------------------------------------------ #
-        # (resource key | None, ready, service, member indices); order by
-        # (ready, first member) for deterministic FIFO arrival at queues
+        net = self.schedule_network(pr, up_done, hierarchical, keys)
+        # an unqueued singleton starts the moment its up leg clears, so its
+        # effective span is exactly the flat leg time (and bitwise so — no
+        # (a + b) - a round trip); loop-backs come out as zero
+        eff = np.where(net.direct, pr.inter, net.done - up_done)
+        return StepNetwork(
+            eff_inter=eff,
+            inter_host_messages=net.inter_host_messages,
+            messages_saved=net.messages_saved,
+            aggregates=net.aggregates,
+            saved_bytes=net.saved_bytes,
+        )
+
+    def schedule_network(
+        self, pr: BatchLegTimes, ready: np.ndarray, hierarchical: bool = False,
+        keys=None,
+    ) -> NetworkSchedule:
+        """Run one priced batch's network legs from per-message ``ready``
+        times (when each message cleared its device's up leg).
+
+        Each leg is a network entity: one message, or one
+        :class:`HostAggregate` of cross-host messages when
+        ``hierarchical`` (ready when its last member is).  With a
+        contention model, entities queue FIFO on the sender host's NIC
+        (cross-host) or staging path (host-routed same-host) in ``(ready,
+        first member)`` order; without one they start when ready.  The
+        queues are not reset here: :meth:`route_step` passes step-relative
+        times on fresh clocks, BASP passes absolute departures on queues
+        that persist across the run.
+        """
+        c = self.cluster
+        model = self.contention
+        host_of = np.asarray(c.host_of, dtype=np.int64)
+        hsrc = host_of[pr.src]
+        hdst = host_of[pr.dst]
+        loop = pr.src == pr.dst
+        cross = (hsrc != hdst) & ~loop
+
+        # (resource key | None, ready, service, member indices)
         entities: list[tuple] = []
         aggregates: list[HostAggregate] = []
         agg_members = 0
@@ -331,7 +379,7 @@ class Router:
                 service = c.network.time(agg.wire_bytes)
                 key = ("nic", agg.src_host) if model is not None else None
                 entities.append(
-                    (key, float(up_done[agg.members].max()), service, agg.members)
+                    (key, float(ready[agg.members].max()), service, agg.members)
                 )
         for i in np.flatnonzero(~loop):
             i = int(i)
@@ -344,27 +392,27 @@ class Router:
             else:
                 key = None  # GPUDirect P2P crossbars don't queue host-side
             entities.append(
-                (key, float(up_done[i]), float(pr.inter[i]),
+                (key, float(ready[i]), float(pr.inter[i]),
                  np.array([i], dtype=np.int64))
             )
         entities.sort(key=lambda e: (e[1], int(e[3][0])))
 
-        eff = np.zeros(n)
-        for key, ready, service, members in entities:
-            if key is None and len(members) == 1:
-                # unqueued singleton: starts the moment its up leg clears,
-                # so the effective span is exactly the flat leg time (and
-                # bitwise so — no (a + b) - a round trip)
-                eff[members] = service
-                continue
-            start = model.acquire(key, ready, service) if key is not None else ready
-            eff[members] = (start + service) - up_done[members]
+        done = np.array(ready, dtype=np.float64)  # loop-backs: no network leg
+        direct = np.zeros(len(done), dtype=bool)
+        for key, start, service, members in entities:
+            if key is not None:
+                start = model.acquire(key, start, service)
+            elif len(members) == 1:
+                direct[members] = True
+            done[members] = start + service
 
-        cross_count = int(np.count_nonzero(cross))
         n_aggs = len(aggregates)
-        return StepNetwork(
-            eff_inter=eff,
-            inter_host_messages=n_aggs if hierarchical else cross_count,
+        return NetworkSchedule(
+            done=done,
+            direct=direct,
+            inter_host_messages=(
+                n_aggs if hierarchical else int(np.count_nonzero(cross))
+            ),
             messages_saved=agg_members - n_aggs,
             aggregates=n_aggs,
             saved_bytes=float(sum(a.saved_bytes for a in aggregates)),

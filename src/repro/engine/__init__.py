@@ -1,4 +1,5 @@
-"""Execution engines: the operator protocol, cost model, BSP, and BASP."""
+"""Execution engines: the operator protocol, the cost model, and one round
+pipeline scheduled two ways (BSP and BASP)."""
 
 from repro.engine.operator import (
     RoundOutput,

@@ -43,6 +43,16 @@ class UnsupportedFeatureError(ConfigurationError):
     """
 
 
+class AccountingError(ReproError):
+    """An engine's simulated-time breakdown does not add up.
+
+    Device Comm. is the residual of execution time after max compute and
+    min wait; a residual below float noise means the engine charged some
+    partition more compute plus wait than the run lasted — a pricing bug,
+    never a data point.
+    """
+
+
 class InvariantViolation(ReproError):
     """A runtime invariant checker (:mod:`repro.check`) found a breach.
 

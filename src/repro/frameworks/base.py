@@ -138,7 +138,6 @@ class Framework(ABC):
         num_gpus: int,
         platform: str | Cluster = "bridges",
         check_memory: bool = True,
-        engine_executor: str = "serial",
         fault_plan=None,
         tracer=None,
         kernel: str | None = None,
@@ -146,13 +145,11 @@ class Framework(ABC):
     ) -> RunResult:
         """Run one benchmark the way this framework would.
 
-        ``engine_executor`` selects the engine's compute-phase dispatch
-        (``"serial"`` or ``"threads"``); results are bit-identical either
-        way (see the engine docstrings).  ``fault_plan`` (a
-        :class:`repro.engine.faults.FaultPlan`) injects deterministic
-        simulated crashes.  ``tracer`` attaches a :class:`repro.obs.Tracer`
-        to the engine; when omitted, the ambient tracer installed via
-        :func:`repro.obs.set_tracer` (if any) is used.  ``kernel``
+        ``fault_plan`` (a :class:`repro.engine.faults.FaultPlan`) injects
+        deterministic simulated crashes.  ``tracer`` attaches a
+        :class:`repro.obs.Tracer` to the engine; when omitted, the ambient
+        tracer installed via :func:`repro.obs.set_tracer` (if any) is
+        used.  ``kernel``
         overrides the facade's compute kernel for this run (``"loop"`` /
         ``"la"``; bit-identical by contract, see docs/kernels.md).
 
@@ -190,7 +187,6 @@ class Framework(ABC):
             scale_factor=dataset.scale_factor,
             memory_profile=self.memory_profile,
             check_memory=check_memory,
-            executor=engine_executor,
             fault_plan=fault_plan,
             tracer=tracer,
         )

@@ -36,8 +36,7 @@ Placement policies (the study's subject, see docs/gnnflow.md):
 
 Everything is bit-deterministic: minibatches hang off ``(seed, round)``,
 per-partition sampling off ``(seed, round, pid)``, and all merges happen
-in sorted order — runs are identical across ``--jobs`` and engine
-executors.
+in sorted order — runs are identical across ``--jobs``.
 """
 
 from __future__ import annotations

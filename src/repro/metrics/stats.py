@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.constants import GIB
+from repro.errors import AccountingError
 
 __all__ = ["RoundRecord", "RunStats"]
 
@@ -136,14 +137,21 @@ class RunStats:
         """Derive the paper's three buckets from per-partition sums.
 
         Device Comm. is defined as the residual (execution time minus max
-        compute minus min wait), exactly the paper's methodology.
+        compute minus min wait), exactly the paper's methodology.  Float
+        noise below zero is clamped; anything beyond it raises
+        :class:`~repro.errors.AccountingError`.
         """
         if len(self.per_partition_compute):
             self.max_compute = float(self.per_partition_compute.max())
             self.min_wait = float(self.per_partition_wait.min())
-        self.device_comm = max(
-            self.execution_time - self.max_compute - self.min_wait, 0.0
-        )
+        residual = self.execution_time - self.max_compute - self.min_wait
+        if residual < -1e-9 * max(self.execution_time, 1e-12):
+            raise AccountingError(
+                f"execution time {self.execution_time!r}s is shorter than "
+                f"max compute {self.max_compute!r}s plus min wait "
+                f"{self.min_wait!r}s"
+            )
+        self.device_comm = max(residual, 0.0)
 
     def summary(self) -> str:
         return (

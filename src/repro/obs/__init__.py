@@ -11,8 +11,8 @@ The subsystem has three pieces:
   breakdown tables of the paper's Figures 4/6/8/9;
 * an **ambient tracer** — a module-global default used by layers that
   have no kwarg plumbing to a particular engine instance (the partition
-  cache, ``run_task``).  It is process-global, *not* thread-local,
-  because the engines' thread executors must share the cell's tracer.
+  cache, ``run_task``).  It is process-global, *not* thread-local, so
+  every thread of a process records into the cell's tracer.
 
 Zero-overhead contract: with no tracer configured (the default),
 ``current_tracer()`` returns ``None`` and every instrumentation site

@@ -11,8 +11,9 @@ creation.  Design constraints, in order:
   (see e.g. ``BSPEngine.__init__``) and guard with one ``is not None``
   check; a disabled ``Tracer`` additionally returns ``None`` from
   :meth:`begin` so stray un-normalized call sites also no-op;
-* **thread-safe** — the engines' ``executor="threads"`` mode and the BASP
-  independent-round dispatch record spans from worker threads;
+* **thread-safe** — both engines run their one round step on the calling
+  thread (BSP and BASP differ only in how they schedule it), but a
+  tracer may still be shared with other threads, so recording is locked;
 * **null-object friendly** — every method is safe to call on a disabled
   tracer, so call sites never need enabled checks for correctness, only
   for speed.

@@ -1,18 +1,11 @@
-"""Parallel execution runtime: sweep fan-out, cell specs, compute pool.
+"""Parallel execution runtime: sweep fan-out and cell specs.
 
-Import structure matters here: the engines import
-:mod:`repro.runtime.executors` (stdlib-only) for their threaded compute
-phase, so this package initializer must not eagerly import the cell /
-sweep modules — those pull in frameworks, which pull in the engines.
-They are exposed lazily instead (PEP 562).
+The cell / sweep modules pull in frameworks, which pull in the engines,
+so this package initializer exposes them lazily (PEP 562) instead of
+importing them eagerly.
 """
 
-from repro.runtime.executors import compute_workers, shutdown_pool, thread_map
-
 __all__ = [
-    "compute_workers",
-    "thread_map",
-    "shutdown_pool",
     "SweepExecutor",
     "default_start_method",
     "SystemSpec",

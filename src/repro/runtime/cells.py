@@ -109,7 +109,6 @@ class CellSpec:
     platform: str = "bridges"
     check_memory: bool = True
     ctx_overrides: tuple = ()
-    engine_executor: str = "serial"
     keep_labels: bool = False
     #: deterministic crash schedule as ``((gpu_index, round_index), ...)``;
     #: converted to an :class:`~repro.engine.faults.FaultPlan` at run time.
@@ -244,7 +243,6 @@ def run_task(spec: CellSpec | PartitionStatsSpec) -> CellOutcome:
                     spec.num_gpus,
                     platform=spec.platform,
                     check_memory=spec.check_memory,
-                    engine_executor=spec.engine_executor,
                     **run_kwargs,
                 )
                 out.stats = res.stats

@@ -95,9 +95,6 @@ class SweepExecutor:
     cache_dir:
         partition-cache directory shared by the parent and every worker
         (``None`` keeps the cache in-memory-only per process).
-    engine_executor:
-        compute-phase dispatch stamped onto every :class:`CellSpec`
-        (``"serial"`` or ``"threads"``); results are bit-identical.
     kernel:
         compute kernel stamped onto every :class:`CellSpec` that does
         not pin one itself (``"loop"`` or ``"la"``); labels are
@@ -131,7 +128,6 @@ class SweepExecutor:
         self,
         jobs: int = 1,
         cache_dir: Optional[str] = None,
-        engine_executor: str = "serial",
         start_method: Optional[str] = None,
         trace_dir: Optional[str] = None,
         check=None,
@@ -142,7 +138,6 @@ class SweepExecutor:
     ):
         self.jobs = int(jobs)
         self.cache_dir = cache_dir
-        self.engine_executor = engine_executor
         self.kernel = kernel
         self.start_method = start_method or default_start_method()
         self.trace_dir = None if trace_dir is None else str(trace_dir)
@@ -206,12 +201,9 @@ class SweepExecutor:
     def _prepare(self, spec):
         if not isinstance(spec, CellSpec):
             return spec
-        updates = {}
-        if self.engine_executor != "serial" and spec.engine_executor == "serial":
-            updates["engine_executor"] = self.engine_executor
         if self.kernel != "loop" and not spec.kernel:
-            updates["kernel"] = self.kernel
-        return replace(spec, **updates) if updates else spec
+            return replace(spec, kernel=self.kernel)
+        return spec
 
     # ------------------------------------------------------------------ #
     def map(

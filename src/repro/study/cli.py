@@ -299,10 +299,6 @@ def main(argv: list[str] | None = None) -> int:
         help="persist partitions to DIR; re-runs skip re-partitioning",
     )
     parser.add_argument(
-        "--engine-executor", choices=("serial", "threads"), default="serial",
-        help="per-partition compute loop inside each engine round",
-    )
-    parser.add_argument(
         "--kernel", choices=("loop", "la"), default="loop",
         help="compute kernel for every study cell: the hand-rolled loop "
         "reference or the repro.la SpMV path (bit-identical labels; see "
@@ -361,7 +357,6 @@ def main(argv: list[str] | None = None) -> int:
     with SweepExecutor(
         jobs=args.jobs,
         cache_dir=args.cache_dir,
-        engine_executor=args.engine_executor,
         trace_dir=args.trace,
         check=args.check,
         kernel=args.kernel,

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.constants import GIB
+from repro.errors import AccountingError
 from repro.metrics import Breakdown, RoundRecord, RunStats, breakdown_row
 
 
@@ -39,10 +40,18 @@ class TestRunStats:
         assert s.device_comm == pytest.approx(2.0 - 1.0 - 0.5)
 
     def test_residual_clamped_non_negative(self):
+        # float noise below zero (accumulation order) clamps to zero
         s = RunStats()
-        s.accumulate_round(record(compute=5.0, dur=1.0))
+        s.accumulate_round(record(compute=1.0 + 1e-12, wait=0.0, dur=1.0))
         s.finalize_breakdown()
         assert s.device_comm == 0.0
+
+    def test_impossible_breakdown_raises(self):
+        # more compute than the run lasted is an accounting bug, not noise
+        s = RunStats()
+        s.accumulate_round(record(compute=5.0, dur=1.0))
+        with pytest.raises(AccountingError, match="shorter than"):
+            s.finalize_breakdown()
 
     def test_dynamic_balance(self):
         s = RunStats()

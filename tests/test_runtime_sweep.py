@@ -236,17 +236,6 @@ class TestSweepExecutor:
         assert all(o.ok for o in outs)
         ex.close()
 
-    def test_engine_executor_stamped_onto_cells(self):
-        ex = SweepExecutor(jobs=1, engine_executor="threads")
-        cell = ex._prepare(_cell("c"))
-        assert cell.engine_executor == "threads"
-        # an explicit per-spec choice wins over the sweep-wide default
-        explicit = _cell("c", engine_executor="threads")
-        assert ex._prepare(explicit) is explicit
-        # partition-stats specs run no engine and pass through untouched
-        ps = PartitionStatsSpec(key="p", dataset="tiny-s", policy="cvc", num_gpus=2)
-        assert ex._prepare(ps) is ps
-
     def test_cache_dir_shared_across_cells(self, tmp_path, restore_global_cache):
         store = str(tmp_path / "pcache")
         with SweepExecutor(jobs=1, cache_dir=store) as ex:
