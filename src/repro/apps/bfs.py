@@ -10,12 +10,15 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.apps.common import expand_frontier_blocks, merge_touched, scatter_min
+from repro.apps.common import (
+    expand_frontier,
+    expand_frontier_blocks,
+    merge_touched,
+    scatter_min,
+)
 from repro.comm.gluon import FieldSpec
 from repro.constants import INF
 from repro.engine.operator import RoundOutput, RunContext, SyncStep, VertexProgram
-from repro.la import backend as la_backend
-from repro.la import direction, semiring, spmv
 from repro.partition.base import LocalPartition
 
 __all__ = ["BFS", "DirectionOptBFS"]
@@ -30,7 +33,6 @@ class BFS(VertexProgram):
     style = "push"
     driven = "data"
     output_field = "dist"
-    la_capable = True
 
     def fields(self):
         return [
@@ -60,26 +62,16 @@ class BFS(VertexProgram):
     def compute(self, part, ctx, state, frontier) -> RoundOutput:
         dist = state["dist"]
         degrees = self.frontier_degrees(part, frontier)
-        if self.kernel == "la":
-            # min-plus SpMSpV with the implicit unit weight: the semiring's
-            # combine reproduces the loop's int64-widen / uint32-narrow casts
-            changed, edges = spmv.spmsv_push(
-                part.graph, frontier, dist, dist,
-                semiring.MIN_PLUS, self.la_backend,
-            )
-        else:
-            # blocked expansion: bounded per-edge temporaries on huge
-            # frontiers, a single block (the exact unblocked kernel)
-            # otherwise.  Relaxations are monotone min, so per-block
-            # application changes nothing about the final labels.
-            parts, edges = [], 0
-            for blk, rep, dsts, _ in expand_frontier_blocks(
-                part.graph, frontier
-            ):
-                cand = dist[blk[rep]].astype(np.int64) + 1
-                parts.append(scatter_min(dist, dsts, cand.astype(np.uint32)))
-                edges += len(dsts)
-            changed = merge_touched(parts)
+        # blocked expansion: bounded per-edge temporaries on huge
+        # frontiers, a single block (the exact unblocked kernel) otherwise.
+        # Relaxations are monotone min, so per-block application changes
+        # nothing about the final labels.
+        parts, edges = [], 0
+        for blk, rep, dsts, _ in expand_frontier_blocks(part.graph, frontier):
+            cand = dist[blk[rep]].astype(np.int64) + 1
+            parts.append(scatter_min(dist, dsts, cand.astype(np.uint32)))
+            edges += len(dsts)
+        changed = merge_touched(parts)
         return RoundOutput(
             updated={"dist": changed},
             activated=changed,
@@ -115,36 +107,51 @@ class DirectionOptBFS(BFS):
     alpha: float = 20.0
 
     def compute(self, part, ctx, state, frontier) -> RoundOutput:
-        dist = state["dist"]
-        out_deg = part.graph.out_degrees()
-        frontier_edges = int(out_deg[frontier].sum())
-        selector = direction.DirectionSelector(self.alpha)
-        if not selector.use_pull(part.graph, frontier_edges):
+        graph = part.graph
+        frontier_edges = int(graph.out_degrees()[frontier].sum())
+        if frontier_edges * self.alpha <= graph.num_edges:
             return super().compute(part, ctx, state, frontier)
 
         # ---- pull round: unvisited scan their in-edges ------------------ #
-        # The reverse graph and the shrinking candidate pool live in
-        # repro.la.direction.PullPool, held in private state (leading
-        # underscore: never synchronized).  Both kernels route through
-        # the generic pull — the loop kernel just pins the numpy
-        # reference backend, so the arithmetic is the original loop's.
-        backend = self.la_backend if self.kernel == "la" \
-            else la_backend.BACKENDS["numpy"]
-        pool = state.get("_do_pull")
-        if pool is None:
-            pool = state["_do_pull"] = direction.PullPool(part.graph)
-        sr = semiring.MIN_PLUS
-        unvisited = pool.narrow(dist, sr.add.identity(dist.dtype))
-        step = direction.pull_step(unvisited, pool.rev, dist, sr, backend)
+        # The reverse graph and the pool of unvisited vertices with
+        # in-edges live in private state (leading underscore: never
+        # synchronized).  Distances only drop, so a vertex leaves the pool
+        # for good once reached: filtering last round's pool gives the same
+        # sorted set a full rescan would, without paying for it every round.
+        dist = state["dist"]
+        pull = state.get("_do_pull")
+        if pull is None:
+            rev = graph.reverse()
+            rdeg = rev.out_degrees()
+            pull = state["_do_pull"] = [rev, rdeg, np.flatnonzero(rdeg > 0)]
+        rev, rdeg, pool = pull
+        unvisited = pull[2] = pool[dist[pool] == INF]
+        step = _pull_candidates(rev, unvisited, dist)
         if step is None:
             return RoundOutput({"dist": _EMPTY}, _EMPTY, 0, np.zeros(0))
         cand, hit, edges = step
-        changed = backend.scatter(
-            sr.add.op, dist, unvisited[hit], cand[hit].astype(np.uint32)
-        )
+        changed = scatter_min(dist, unvisited[hit], cand[hit].astype(np.uint32))
         return RoundOutput(
             updated={"dist": changed},
             activated=changed,
             edges_processed=edges,
-            frontier_degrees=pool.rdeg[unvisited].astype(np.float64),
+            frontier_degrees=rdeg[unvisited].astype(np.float64),
         )
+
+
+def _pull_candidates(rev, rows: np.ndarray, dist: np.ndarray):
+    """One pull round's candidates: each row's minimum ``dist + 1`` over
+    its in-neighbours, reached parents only (``INF`` is "unreached").
+
+    Returns ``(cand, hit, edges)`` — the int64 candidate per row, the mask
+    of rows that found a reached parent, and the in-edges scanned — or
+    ``None`` when the rows have no in-edges at all.
+    """
+    rep, parents, _ = expand_frontier(rev, rows)
+    if len(parents) == 0:
+        return None
+    src = dist[parents].astype(np.int64)
+    valid = src < INF
+    cand = np.full(len(rows), INF, dtype=np.int64)
+    np.minimum.at(cand, rep[valid], src[valid] + 1)
+    return cand, cand < INF, len(parents)

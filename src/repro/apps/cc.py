@@ -18,7 +18,6 @@ import numpy as np
 from repro.apps.common import expand_frontier, scatter_min
 from repro.comm.gluon import FieldSpec
 from repro.engine.operator import RoundOutput, RunContext, SyncStep, VertexProgram
-from repro.la import semiring, spmv
 from repro.partition.base import LocalPartition
 
 __all__ = ["CC", "CCPointerJump"]
@@ -34,9 +33,6 @@ class CC(VertexProgram):
     driven = "data"
     needs_symmetric = True
     output_field = "comp"
-    #: cc-pj inherits this with its jump leg intact: the LA port only
-    #: replaces the propagation half of compute()
-    la_capable = True
 
     def fields(self):
         return [
@@ -59,20 +55,12 @@ class CC(VertexProgram):
     def compute(self, part, ctx, state, frontier) -> RoundOutput:
         comp = state["comp"]
         degrees = self.frontier_degrees(part, frontier)
-        if self.kernel == "la":
-            # min-first: the edge carries the source's label unchanged
-            changed, edges = spmv.spmsv_push(
-                part.graph, frontier, comp, comp,
-                semiring.MIN_FIRST, self.la_backend,
-            )
-        else:
-            rep, dsts, _ = expand_frontier(part.graph, frontier)
-            changed = scatter_min(comp, dsts, comp[frontier[rep]])
-            edges = len(dsts)
+        rep, dsts, _ = expand_frontier(part.graph, frontier)
+        changed = scatter_min(comp, dsts, comp[frontier[rep]])
         return RoundOutput(
             updated={"comp": changed},
             activated=changed,
-            edges_processed=edges,
+            edges_processed=len(dsts),
             frontier_degrees=degrees,
         )
 

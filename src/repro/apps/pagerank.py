@@ -22,7 +22,6 @@ import numpy as np
 
 from repro.apps.common import expand_frontier, expand_frontier_blocks, merge_touched
 from repro.comm.gluon import FieldSpec
-from repro.la import semiring, spmv
 from repro.engine.operator import (
     MasterOutput,
     RoundOutput,
@@ -59,7 +58,6 @@ class PageRankPull(VertexProgram):
     driven = "topology"
     output_field = "_rank"
     async_capable = True
-    la_capable = True
 
     def fields(self):
         return [
@@ -111,36 +109,21 @@ class PageRankPull(VertexProgram):
         scaled = state["scaled_rank"]
         last = state["_last_partial"]
         degrees = self.frontier_degrees(part, frontier)
-        if self.kernel == "la":
-            # plus-times SpMV over the cached pull plan; the plan is the
-            # LA spelling of _topo_expansion, and segment_sum keeps
-            # reduceat's pairwise float order (docs/kernels.md)
-            plan = state.get("_topo_plan")
-            if plan is None or plan.num_rows != len(frontier):
-                plan = spmv.PullPlan.build(part.graph, frontier)
-                state["_topo_plan"] = plan
-            partial = spmv.spmv_pull(
-                plan, scaled, semiring.PLUS_TIMES, self.la_backend
-            )
-            in_nbrs = plan.in_nbrs
-        else:
-            # the pull expansion is identical every round: compute it once,
-            # along with each frontier position's segment start in it
-            exp = state.get("_topo_expansion")
-            if exp is None or exp[2] != len(frontier):
-                rev = part.graph.reverse()
-                rep, in_nbrs, _ = expand_frontier(rev, frontier)
-                starts = np.searchsorted(rep, np.arange(len(frontier)))
-                exp = (rep, in_nbrs, len(frontier), starts)
-                state["_topo_expansion"] = exp
-            rep, in_nbrs, starts = exp[0], exp[1], exp[3]
-            # segmented sum over the sorted expansion; every frontier vertex
-            # has at least one in-edge, so no segment is empty (reduceat's
-            # empty-segment pitfall) and the result is bit-identical to
-            # bincount-with-weights, just without its histogram pass
-            partial = np.add.reduceat(
-                scaled[in_nbrs].astype(np.float64), starts
-            )
+        # the pull expansion is identical every round: compute it once,
+        # along with each frontier position's segment start in it
+        exp = state.get("_topo_expansion")
+        if exp is None or exp[2] != len(frontier):
+            rev = part.graph.reverse()
+            rep, in_nbrs, _ = expand_frontier(rev, frontier)
+            starts = np.searchsorted(rep, np.arange(len(frontier)))
+            exp = (rep, in_nbrs, len(frontier), starts)
+            state["_topo_expansion"] = exp
+        rep, in_nbrs, starts = exp[0], exp[1], exp[3]
+        # segmented sum over the sorted expansion; every frontier vertex
+        # has at least one in-edge, so no segment is empty (reduceat's
+        # empty-segment pitfall) and the result is bit-identical to
+        # bincount-with-weights, just without its histogram pass
+        partial = np.add.reduceat(scaled[in_nbrs].astype(np.float64), starts)
         delta = partial - last[frontier]
         # residual thresholding, *relative* to the partial's magnitude:
         # deltas too small to matter stay local and keep accumulating.
@@ -219,7 +202,6 @@ class PageRankPush(VertexProgram):
     driven = "data"
     output_field = "_rank"
     async_capable = True
-    la_capable = True
 
     def fields(self):
         return [
@@ -276,28 +258,16 @@ class PageRankPush(VertexProgram):
         # push only the unreleased slice of the cumulative budget, then
         # advance the baseline so re-activation is a no-op until the
         # master's next firing grows push_val again
-        if self.kernel == "la":
-            # plus-times over the per-vertex unreleased delta (implicit
-            # unit weight); the add scatter keeps np.add.at's sequential
-            # edge order, so float accumulation is bit-identical
-            delta = push_val - pushed
-            touched, edges = spmv.spmsv_push(
-                part.graph, frontier, delta, acc,
-                semiring.PLUS_TIMES, self.la_backend,
-            )
-        else:
-            # blocked expansion, one block when the frontier fits (the
-            # exact unblocked kernel).  compute never writes push_val or
-            # pushed, and consecutive blocks replay np.add.at's global
-            # edge order, so float accumulation is bit-identical.
-            parts, edges = [], 0
-            for blk, rep, dsts, _ in expand_frontier_blocks(
-                part.graph, frontier
-            ):
-                np.add.at(acc, dsts, (push_val[blk] - pushed[blk])[rep])
-                parts.append(np.unique(dsts))
-                edges += len(dsts)
-            touched = merge_touched(parts)
+        # blocked expansion, one block when the frontier fits (the exact
+        # unblocked kernel).  compute never writes push_val or pushed, and
+        # consecutive blocks replay np.add.at's global edge order, so float
+        # accumulation is bit-identical.
+        parts, edges = [], 0
+        for blk, rep, dsts, _ in expand_frontier_blocks(part.graph, frontier):
+            np.add.at(acc, dsts, (push_val[blk] - pushed[blk])[rep])
+            parts.append(np.unique(dsts))
+            edges += len(dsts)
+        touched = merge_touched(parts)
         pushed[frontier] = push_val[frontier]
         return RoundOutput(
             updated={"resid_acc": touched},

@@ -8,7 +8,6 @@ import numpy as np
 from repro.apps.bfs import BFS
 from repro.apps.common import expand_frontier, scatter_min
 from repro.engine.operator import RoundOutput
-from repro.la import semiring, spmv
 
 __all__ = ["SSSP"]
 
@@ -27,21 +26,12 @@ class SSSP(BFS):
     def compute(self, part, ctx, state, frontier) -> RoundOutput:
         dist = state["dist"]
         degrees = self.frontier_degrees(part, frontier)
-        if self.kernel == "la":
-            changed, edges = spmv.spmsv_push(
-                part.graph, frontier, dist, dist,
-                semiring.MIN_PLUS, self.la_backend, with_weights=True,
-            )
-        else:
-            rep, dsts, w = expand_frontier(
-                part.graph, frontier, with_weights=True
-            )
-            cand = dist[frontier[rep]].astype(np.int64) + w.astype(np.int64)
-            changed = scatter_min(dist, dsts, cand.astype(np.uint32))
-            edges = len(dsts)
+        rep, dsts, w = expand_frontier(part.graph, frontier, with_weights=True)
+        cand = dist[frontier[rep]].astype(np.int64) + w.astype(np.int64)
+        changed = scatter_min(dist, dsts, cand.astype(np.uint32))
         return RoundOutput(
             updated={"dist": changed},
             activated=changed,
-            edges_processed=edges,
+            edges_processed=len(dsts),
             frontier_degrees=degrees,
         )

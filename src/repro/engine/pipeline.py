@@ -168,8 +168,7 @@ class RoundPipeline:
                 f"{self.execution_model}.run",
                 "engine",
                 tid=P,
-                args={"benchmark": app.name, "dataset": pg.global_graph.name,
-                      "kernel": app.kernel},
+                args={"benchmark": app.name, "dataset": pg.global_graph.name},
             )
 
     def _close(self) -> RunResult:

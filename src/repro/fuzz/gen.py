@@ -148,8 +148,8 @@ def dense_graph(n: int, seed: int = 0) -> CSRGraph:
 
     Every frontier is edge-heavy relative to ``|E|`` (``frontier_edges *
     alpha > |E|`` whenever ``n < alpha``), so direction-optimized
-    traversal *pulls from round one* — the mutation battery and the
-    kernel tests use this to pin the pull path deterministically.
+    traversal *pulls from round one* — the mutation battery uses this to
+    pin the pull path deterministically.
     """
     src, dst = np.divmod(np.arange(n * n), n)
     keep = src != dst

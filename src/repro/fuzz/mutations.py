@@ -27,7 +27,7 @@ __all__ = [
     "stale_partition_cache",
     "cc_wrong_tiebreak",
     "bitset_clear_off_by_one",
-    "la_semiring_identity",
+    "pull_wrong_identity",
 ]
 
 
@@ -211,33 +211,38 @@ def bitset_clear_off_by_one():
 
 
 @contextmanager
-def la_semiring_identity():
-    """The min-plus additive identity planted as 0 instead of INF.
+def pull_wrong_identity():
+    """bfs-do's pull reduction with 0 instead of INF as "unreached".
 
-    The classic semiring bug: an "identity" that is not actually
-    neutral.  Everything in the LA core that fills with or compares
-    against the identity is poisoned — most visibly the direction
-    selector's pull pool, which now takes *visited* vertices (distance
-    0) for unvisited candidates and never relaxes anyone, so bfs-do
-    terminates with unreached labels.  The semiring catalog is looked
-    up through the module attribute at call time precisely so this
-    plant is visible to the apps; caught by the final reference
-    comparison on any pull-heavy cell (and by the kernel twin
-    differential when the fuzzer draws one).
+    The classic min-reduction bug: an identity that is not actually
+    neutral.  Every parent now counts as unreached (no distance is below
+    0) and every candidate starts at 0, so a pull round never relaxes
+    anyone and bfs-do terminates with unreached labels.  Only a pull
+    round can see it; caught by the final reference comparison on any
+    pull-heavy cell.
     """
-    from dataclasses import replace
+    import repro.apps.bfs as bfs
+    from repro.apps.common import expand_frontier
 
-    from repro.la import semiring
+    orig = bfs._pull_candidates
+    unreached = 0
 
-    orig = semiring.MIN_PLUS
+    def bad(rev, rows, dist):
+        rep, parents, _ = expand_frontier(rev, rows)
+        if len(parents) == 0:
+            return None
+        src = dist[parents].astype(np.int64)
+        valid = src < unreached
+        cand = np.full(len(rows), unreached, dtype=np.int64)
+        np.minimum.at(cand, rep[valid], src[valid] + 1)
+        return cand, cand < unreached, len(parents)
+
     _fresh_caches()
-    semiring.MIN_PLUS = replace(
-        orig, add=replace(orig.add, identity_value=0)
-    )
+    bfs._pull_candidates = bad
     try:
         yield
     finally:
-        semiring.MIN_PLUS = orig
+        bfs._pull_candidates = orig
         _fresh_caches()
 
 
@@ -249,7 +254,7 @@ MUTATIONS = {
     "stale-partition-cache": stale_partition_cache,
     "cc-wrong-tiebreak": cc_wrong_tiebreak,
     "bitset-clear-off-by-one": bitset_clear_off_by_one,
-    "la-semiring-identity": la_semiring_identity,
+    "pull-wrong-identity": pull_wrong_identity,
 }
 
 
@@ -261,9 +266,8 @@ def detection_candidates():
     through a broadcast-fed src proxy, so the answer breaks rather than
     merely drifting), an R-MAT cell exercises the dense plan/table
     structure, a symmetric CC cell is the only one the tie-break
-    mutation can touch, and a dense bfs-do cell on the LA kernel pulls
-    from round one — the only cell a poisoned semiring identity can
-    reach.
+    mutation can touch, and a dense bfs-do cell pulls from round one —
+    the only cell a poisoned pull identity can reach.
     """
     from repro.fuzz.cases import Case
     from repro.fuzz.gen import build_shape, dense_graph
@@ -288,7 +292,7 @@ def detection_candidates():
         Case.from_graph(sym, app="cc", policy="oec", parts=4,
                         engine="bsp", shape="rmat-sym"),
         Case.from_graph(dense, app="bfs-do", policy="oec", parts=4,
-                        engine="bsp", shape="dense", kernel="la"),
+                        engine="bsp", shape="dense"),
     ]
 
 

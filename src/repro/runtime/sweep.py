@@ -29,7 +29,6 @@ import multiprocessing
 import os
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import replace
 from typing import Optional, Sequence
 
 from repro.runtime.cells import (
@@ -95,11 +94,6 @@ class SweepExecutor:
     cache_dir:
         partition-cache directory shared by the parent and every worker
         (``None`` keeps the cache in-memory-only per process).
-    kernel:
-        compute kernel stamped onto every :class:`CellSpec` that does
-        not pin one itself (``"loop"`` or ``"la"``); labels are
-        bit-identical either way (docs/kernels.md), so ``--kernel la``
-        sweeps validate the LA path at full study scale.
     trace_dir:
         when set, every cell writes a Chrome trace JSON here (see
         :mod:`repro.obs`); workers inherit the setting through the pool
@@ -131,14 +125,12 @@ class SweepExecutor:
         start_method: Optional[str] = None,
         trace_dir: Optional[str] = None,
         check=None,
-        kernel: str = "loop",
         shard_plan: bool = False,
         max_disk_bytes: Optional[int] = None,
         spill_shards: bool = False,
     ):
         self.jobs = int(jobs)
         self.cache_dir = cache_dir
-        self.kernel = kernel
         self.start_method = start_method or default_start_method()
         self.trace_dir = None if trace_dir is None else str(trace_dir)
         if check is not None:
@@ -198,19 +190,11 @@ class SweepExecutor:
             )
         return self._pool
 
-    def _prepare(self, spec):
-        if not isinstance(spec, CellSpec):
-            return spec
-        if self.kernel != "loop" and not spec.kernel:
-            return replace(spec, kernel=self.kernel)
-        return spec
-
     # ------------------------------------------------------------------ #
     def map(
         self, specs: Sequence[CellSpec | PartitionStatsSpec]
     ) -> list[CellOutcome]:
         """Run every spec; outcomes come back in submission order."""
-        specs = [self._prepare(s) for s in specs]
         if self.shard_plan:
             return self._map_shard_plan(specs)
         if self.jobs <= 1 or len(specs) <= 1:

@@ -299,12 +299,6 @@ def main(argv: list[str] | None = None) -> int:
         help="persist partitions to DIR; re-runs skip re-partitioning",
     )
     parser.add_argument(
-        "--kernel", choices=("loop", "la"), default="loop",
-        help="compute kernel for every study cell: the hand-rolled loop "
-        "reference or the repro.la SpMV path (bit-identical labels; see "
-        "docs/kernels.md)",
-    )
-    parser.add_argument(
         "--progress", action="store_true",
         help="log one line per completed study cell",
     )
@@ -359,7 +353,6 @@ def main(argv: list[str] | None = None) -> int:
         cache_dir=args.cache_dir,
         trace_dir=args.trace,
         check=args.check,
-        kernel=args.kernel,
     ) as ex:
         for name in names:
             t0 = time.time()

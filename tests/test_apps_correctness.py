@@ -7,13 +7,17 @@ proxy synchronization, invariant filtering, update tracking, and async
 execution must compose without changing answers.
 """
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from repro.apps import get_app
+from repro.apps import get_app, registry
+from repro.apps.bfs import DirectionOptBFS
 from repro.apps.kcore import KCore
 from repro.comm import CommConfig
 from repro.engine import BASPEngine, BSPEngine
+from repro.fuzz.cases import Case, CaseFailure, run_case
 from repro.hw import bridges
 from repro.partition import partition
 from repro.validation import (
@@ -179,3 +183,29 @@ class TestScaleInvariance:
         res = run("kcore", small_sym, "cvc", ctx, parts=parts)
         mask = KCore.in_core(res.labels.astype(np.int64), ctx.k)
         assert np.array_equal(mask, reference_kcore_mask(small_sym, ctx.k))
+
+
+# --------------------------------------------------------------------------- #
+# why bfs-do stays BSP-only
+# --------------------------------------------------------------------------- #
+def test_bfsdo_stays_bsp_only(monkeypatch):
+    """The committed fuzz reproducer still diverges under forced-async pull.
+
+    Beamer pull finalizes a vertex at its first reached parent, which is
+    only the true BFS parent level-synchronously — an algorithmic
+    precondition of the pull, not of how it is coded.  If this test ever
+    starts failing because the replay *passes*, the pull has become
+    async-sound and bfs-do can be re-enabled under BASP; until then it
+    stays ``async_capable=False``.
+    """
+    assert DirectionOptBFS.async_capable is False
+
+    class AsyncDO(DirectionOptBFS):
+        async_capable = True
+
+    monkeypatch.setitem(registry.APPS, "bfs-do", AsyncDO)
+    case = Case.load(
+        str(Path(__file__).parent / "cases" / "bfsdo_async_pull_finalize.json")
+    )
+    with pytest.raises(CaseFailure):
+        run_case(case, check="full")

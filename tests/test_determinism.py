@@ -179,6 +179,9 @@ NETMODE_GOLDEN = [
     ("bfs", "basp", "throttle", (225929698, 9, 80, 54, 0, 9469.0, 0.013618327124108771)),
     ("sssp", "basp", "throttle", (3470867986, 20, 258, 187, 0, 26419.0, 0.03015277164704224)),
     ("cc", "basp", "throttle", (3479670591, 6, 81, 54, 0, 14368.0, 0.008998477892835456)),
+    # direction-optimizing BFS pulls in 16 of its 29 partition-rounds here
+    ("bfs-do", "bsp", "contended", (225929698, 4, 61, 44, 0, 8127.0, 0.001404607986217365)),
+    ("bfs-do", "bsp", "hier", (225929698, 4, 41, 24, 24, 6847.0, 0.0010162249793303844)),
 ]
 
 

@@ -77,11 +77,11 @@ def test_mmap_vs_ram_bit_identical(shape, engine, tmp_path):
         assert r_ram.stats.work_items == r_mmap.stats.work_items
 
 
-def test_la_kernel_cell_mmap_matches_ram(tmp_path):
-    """One LA-kernel study cell end to end through both storage modes."""
+def test_pr_push_cell_mmap_matches_ram(tmp_path):
+    """One pr-push study cell end to end through both storage modes."""
     from repro.runtime.cells import CellSpec, SystemSpec, run_task
 
-    path = str(tmp_path / "la.csr")
+    path = str(tmp_path / "pr-push.csr")
     build_store("rmat", 8, path, seed=5)
     outcomes = {}
     for mode in ("ram", "mmap"):
@@ -92,7 +92,6 @@ def test_la_kernel_cell_mmap_matches_ram(tmp_path):
             dataset=f"store+{mode}:{path}",
             num_gpus=2,
             check_memory=False,
-            kernel="la",
         ))
         assert out.ok, out.failure
         outcomes[mode] = out
